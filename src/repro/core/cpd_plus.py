@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..config.spec import ScoutConfig
-from ..datacenter.components import Component, ComponentKind
+from ..datacenter.components import ComponentKind
 from ..datacenter.topology import Topology
 from ..ml.cpd import CusumDetector
 from ..ml.forest import RandomForestClassifier
@@ -91,117 +91,84 @@ class CPDPlus:
         """Average change-point / abnormal-event rates per signal group.
 
         Returns the signal vector plus human-readable trigger strings
-        for every device-level detection (used as explanations).
+        for every device-level detection (used as explanations).  Raw
+        window rows and per-device event counts come from the builder's
+        memoized incident panel — the same pulls the features read, so
+        a dataset build featurizing an incident pulls each dataset once.
         """
         T = self.config.lookback
         schema = self.builder.schema
+        panel = self.builder.incident_panel(extracted, t)
         vector = np.zeros(len(schema.ts_groups) + len(schema.event_features))
         triggers: list[str] = []
 
+        hits_of: dict[str, np.ndarray] = {}
         for g, group in enumerate(schema.ts_groups):
-            components = extracted.of_kind(group.kind)
-            if not components:
+            if not extracted.of_kind(group.kind):
                 continue
             detections = 0
             devices = 0
             for locator in group.locators:
-                if not self.store.is_active(locator):
+                series = panel.datasets.get(locator)
+                if series is None:
                     continue
-                kinds = self.store.schema(locator).component_kinds
-                # Same component→device expansion order as the feature
-                # pulls (duplicate devices mentioned via two components
-                # deliberately count twice, as they always have).
-                devs = []
-                for component in components:
-                    devs.extend(self.builder._observables(component, kinds))
-                self.builder.prefetch_series(locator, devs, t - T, t)
-                rows = []
-                row_devs = []
-                for device in devs:
-                    window = self.builder.series(locator, device, t - T, t)
-                    if window is None or len(window) < 6:
-                        continue
-                    devices += 1
-                    rows.append(window.values)
-                    row_devs.append(device)
-                if not rows:
+                if series.window.shape[1] < 6:
+                    continue
+                # Devices come in the features' component → device
+                # order; a device reached through two components
+                # deliberately counts twice.
+                rows = panel.rows(locator, group.kind)
+                if not len(rows):
                     continue
                 # All rows share the locator's sampling grid, so the
-                # whole group CUSUM-scans as one matrix.
-                hits = self.detector.detect_any(np.vstack(rows))
+                # whole panel CUSUM-scans as one matrix, once per
+                # dataset; the scan is row-wise, so a row's verdict does
+                # not depend on the other rows.
+                if locator not in hits_of:
+                    hits_of[locator] = self.detector.detect_any(series.window)
+                hits = hits_of[locator][rows]
+                devices += len(rows)
                 detections += int(hits.sum())
                 # Container-kind groups feed the cluster RF only;
                 # device-level triggers (and thus the conservative
                 # any-signal rule) come from the implicated leaf
                 # devices themselves.
                 if group.kind in _LEAF_KINDS:
-                    for device, hit in zip(row_devs, hits):
+                    for row, hit in zip(rows, hits):
                         if hit:
                             triggers.append(
-                                f"change-point in {locator} on {device.name}"
+                                f"change-point in {locator} on "
+                                f"{series.names[row]}"
                             )
             if devices:
                 vector[g] = detections / devices
 
         offset = len(schema.ts_groups)
         for e, feature in enumerate(schema.event_features):
-            components = extracted.of_kind(feature.kind)
-            if not components:
+            events = panel.datasets.get(feature.locator)
+            if events is None or not extracted.of_kind(feature.kind):
                 continue
-            if not self.store.is_active(feature.locator):
+            rows = panel.rows(feature.locator, feature.kind)
+            if not len(rows):
                 continue
-            kinds = self.store.schema(feature.locator).component_kinds
+            counts = events.counts[rows, events.columns[feature.event_type]]
             rate = self.store.schema(feature.locator).events.rates[
                 feature.event_type
             ]
-            abnormal = 0
-            devices = 0
-            devs_all: list[Component] = []
-            for component in components:
-                devs_all.extend(self.builder._observables(component, kinds))
-            if self.builder.incremental:
-                # Usually a no-op: the feature pulls already warmed the
-                # shared count memo for this exact window.
-                self.builder.prefetch_event_counts(
-                    feature.locator, devs_all, t - T, t
-                )
-            for device in devs_all:
-                devices += 1
-                # CPD+ only ever consumes counts, so the incremental
-                # engine serves them from the count-query fast path
-                # (no per-event offset hashing, shared content cache
-                # with the feature pulls).  The default path keeps
-                # the seed's event-series pulls — and with them the
-                # FaultyStore query ordinals.
-                if self.builder.incremental:
-                    counts = self.builder.event_counts(
-                        feature.locator, device, t - T, t
-                    )
-                    if counts is None:
-                        continue
-                    count = counts.get(feature.event_type, 0)
-                else:
-                    events = self.builder.events(
-                        feature.locator, device, t - T, t
-                    )
-                    if events is None:
-                        continue
-                    count = events.count_of(feature.event_type)
-                expected = rate * T / 3600.0
-                # Poisson upper-tail test: flag counts beyond the
-                # ~95% envelope of the healthy rate, and never on a
-                # single event — background noise produces lone
-                # events routinely.
-                threshold = max(expected + 1.64 * np.sqrt(expected) + 0.5, 2.5)
-                if count > threshold:
-                    abnormal += 1
-                    if feature.kind in _LEAF_KINDS:
+            expected = rate * T / 3600.0
+            # Poisson upper-tail test: flag counts beyond the ~95%
+            # envelope of the healthy rate, and never on a single event
+            # — background noise produces lone events routinely.
+            threshold = max(expected + 1.64 * np.sqrt(expected) + 0.5, 2.5)
+            abnormal = counts > threshold
+            if feature.kind in _LEAF_KINDS:
+                for row, count, flagged in zip(rows, counts, abnormal):
+                    if flagged:
                         triggers.append(
-                            f"{count}x {feature.event_type} events in "
-                            f"{feature.locator} on {device.name}"
+                            f"{int(count)}x {feature.event_type} events in "
+                            f"{feature.locator} on {events.names[row]}"
                         )
-            if devices:
-                vector[offset + e] = abnormal / devices
+            vector[offset + e] = int(abnormal.sum()) / len(rows)
         return vector, triggers
 
     # -- scope ---------------------------------------------------------------

@@ -33,7 +33,7 @@ from ..monitoring.store import MonitoringStore
 from .extraction import ExtractedComponents
 from .window_agg import Block, BucketQuantiles, WindowAggregator
 
-__all__ = ["FeatureSchema", "FeatureBuilder", "STAT_NAMES"]
+__all__ = ["FeatureSchema", "FeatureBuilder", "IncidentPanel", "STAT_NAMES"]
 
 # Event noise is binned at one-minute granularity (mirrors the store).
 _EVENT_BIN = 60.0
@@ -157,6 +157,113 @@ def _stats(pooled: np.ndarray) -> np.ndarray:
     return out
 
 
+def _zscore(window: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """Each window row z-scored against its trailing reference row.
+
+    A reference of fewer than two samples (clamped at the simulation
+    epoch) falls back to the window's own mean and std, and a zero std
+    divides by one.  Row-wise reductions over C-contiguous matrices
+    equal the per-device 1-D reductions bit-for-bit.
+    """
+    if window.shape[1] == 0:
+        return window
+    basis = reference if reference.shape[1] >= 2 else window
+    means = basis.mean(axis=1)
+    stds = basis.std(axis=1)
+    stds = np.where(stds == 0.0, 1.0, stds)
+    return (window - means[:, np.newaxis]) / stds[:, np.newaxis]
+
+
+class _SeriesPanel:
+    """One time-series dataset's pulled rows at one incident time ``t``.
+
+    One row per device whose query returned data, all on the dataset's
+    sampling grid: the raw look-back window ``[t - T, t]`` and the
+    trailing reference window, split from a single pull.
+    """
+
+    __slots__ = ("names", "rows", "window", "reference", "_normalized")
+
+    def __init__(
+        self, names: list[str], window: np.ndarray, reference: np.ndarray
+    ) -> None:
+        self.names = names
+        self.rows = {name: row for row, name in enumerate(names)}
+        self.window = window
+        self.reference = reference
+        self._normalized: np.ndarray | None = None
+
+    @property
+    def normalized(self) -> np.ndarray:
+        """The window z-scored per row (computed on first use)."""
+        if self._normalized is None:
+            self._normalized = _zscore(self.window, self.reference)
+        return self._normalized
+
+    def extended(self, more: "_SeriesPanel") -> "_SeriesPanel":
+        """These rows followed by ``more``'s (a later pull, same ``t``)."""
+        return _SeriesPanel(
+            self.names + more.names,
+            np.vstack([self.window, more.window]),
+            np.vstack([self.reference, more.reference]),
+        )
+
+
+class _EventPanel:
+    """One event dataset's per-device, per-type counts at one time ``t``.
+
+    Every pulled device has a row (an uncovered device counts zeros);
+    columns follow the schema's sorted event types.
+    """
+
+    __slots__ = ("names", "rows", "columns", "counts")
+
+    def __init__(
+        self, names: list[str], types: list[str], counts: np.ndarray
+    ) -> None:
+        self.names = names
+        self.rows = {name: row for row, name in enumerate(names)}
+        self.columns = {event_type: col for col, event_type in enumerate(types)}
+        self.counts = counts
+
+    def extended(self, more: "_EventPanel") -> "_EventPanel":
+        """These rows followed by ``more``'s (a later pull, same ``t``)."""
+        return _EventPanel(
+            self.names + more.names,
+            list(self.columns),
+            np.vstack([self.counts, more.counts]),
+        )
+
+
+class IncidentPanel:
+    """Every active dataset's pull for one incident, addressed by rows.
+
+    ``rows(locator, kind)`` lists the panel rows of the devices that
+    represent the incident's components of ``kind`` in that dataset, in
+    component → device order with duplicates kept — the order the
+    features pool in and CPD+ counts in.
+    """
+
+    def __init__(
+        self,
+        datasets: dict[str, _SeriesPanel | _EventPanel],
+        devices: dict[tuple[ComponentKind, str], list[Component]],
+    ) -> None:
+        self.datasets = datasets
+        self._devices = devices
+
+    def rows(self, locator: str, kind: ComponentKind) -> np.ndarray:
+        index = self.datasets[locator].rows
+        return np.array(
+            [
+                index[device.name]
+                for device in self._devices[(kind, locator)]
+                if device.name in index
+            ],
+            dtype=np.intp,
+        )
+
+
 class FeatureBuilder:
     """Builds feature vectors (and raw pulls for CPD+) per incident."""
 
@@ -176,26 +283,31 @@ class FeatureBuilder:
         # and pickling (parallel dataset builds ship builders to
         # workers) always see every memo:
         #
-        # * per-incident — cluster/DC/leaf feature groups and CPD+ all
-        #   re-query the same (dataset, device, window) series/events;
-        #   with no TTL configured (the default), callers reset these
-        #   between incidents via clear_cache()/begin_incident();
+        # * per-incident — ``_panel_memo`` holds each dataset's one pull
+        #   per incident (see :meth:`incident_panel`), keyed on
+        #   ``(locator, t)``; the features and CPD+ read the same
+        #   entry.  ``_series_memo`` / ``_norm_memo`` are the
+        #   incremental engine's per-device (dataset, device, window)
+        #   memos.  With no TTL configured (the default), callers reset
+        #   all three between incidents via clear_cache() /
+        #   begin_incident(); a retry inside one incident re-issues only
+        #   the pulls that have no entry yet;
         # * TTL-window — when ``cache_ttl`` and ``clock`` are set (the
         #   incident manager threads its own injectable clock in at
         #   registration), the same memos survive *across* incidents:
-        #   keys already carry the exact query window
-        #   ``(locator, device, t0, t1)``, so a burst of correlated
-        #   incidents at the same timestamps shares pulls instead of
-        #   re-issuing them N times.  Entries are stamped with their
-        #   insertion time and evicted once older than ``cache_ttl``
-        #   (on the injectable clock, so fake-clock tests are exact);
+        #   keys already carry the exact query window, so a burst of
+        #   correlated incidents at the same timestamps shares pulls
+        #   instead of re-issuing them N times.  Entries are stamped
+        #   with their insertion time and evicted once older than
+        #   ``cache_ttl`` (on the injectable clock, so fake-clock tests
+        #   are exact);
         # * topology-lifetime — ``_observables_memo`` maps a container
         #   component to its observable leaf devices, which depends only
         #   on the (immutable) topology and config, so clear_cache()
         #   deliberately keeps it.
+        self._panel_memo: dict = {}
         self._series_memo: dict = {}
         self._norm_memo: dict = {}
-        self._events_memo: dict = {}
         self._observables_memo: dict = {}
         # TTL-window cache state: ``cache_ttl=None`` keeps the seed
         # behavior (per-incident memos).  ``_epoch`` counts live
@@ -204,9 +316,24 @@ class FeatureBuilder:
         self.cache_ttl: float | None = None
         self.clock = None
         self._epoch = 0
+        self._panel_stamps: dict = {}
         self._series_stamps: dict = {}
         self._norm_stamps: dict = {}
-        self._events_stamps: dict = {}
+        # (kind, locator) pairs the schema reads, in schema order: the
+        # order datasets are pulled in, hence the FaultyStore ordinals.
+        self._panel_plan: list[tuple[ComponentKind, str]] = list(
+            dict.fromkeys(
+                [
+                    (group.kind, locator)
+                    for group in self.schema.ts_groups
+                    for locator in group.locators
+                ]
+                + [
+                    (feature.kind, feature.locator)
+                    for feature in self.schema.event_features
+                ]
+            )
+        )
         # Observability sink (None = un-instrumented): counts store
         # queries vs. memo hits.  Threaded in by the incident manager
         # at Scout registration or by an instrumented framework; the
@@ -214,9 +341,9 @@ class FeatureBuilder:
         # ship builders to workers keep working.
         self._obs = None
         self._bound_counters: dict = {}
-        # Incremental feature engine (default off — the seed behavior
-        # and the FaultyStore ordinal sequences stay untouched unless a
-        # caller opts in).  All engine caches are *content-addressed*:
+        # Incremental feature engine (default off; the default path is
+        # the per-incident panel above).  All engine caches are
+        # *content-addressed*:
         # keys encode the signal identity, the sampling-grid window,
         # and the store's effects generation, so entries can never go
         # stale and survive across incidents without TTL bookkeeping.
@@ -256,17 +383,19 @@ class FeatureBuilder:
         self._engine_cap = 65536
 
     def __getstate__(self) -> dict:
-        # Engine caches are working state: drop them when builders ship
-        # to dataset-build worker processes (they rebuild lazily).
+        # Memos and engine caches are working state: drop them when
+        # builders ship to dataset-build worker processes (they rebuild
+        # lazily), so a worker never starts from the last incident's
+        # pulls.
         state = self.__dict__.copy()
-        state["_block_cache"] = {}
-        state["_group_aggs"] = {}
-        state["_group_state"] = {}
-        state["_count_memo"] = {}
-        state["_group_stats_memo"] = {}
-        state["_event_totals_memo"] = {}
-        state["_engine_stamps"] = {}
-        state["_bound_counters"] = {}
+        for name in (
+            "_panel_memo", "_series_memo", "_norm_memo",
+            "_panel_stamps", "_series_stamps", "_norm_stamps",
+            "_block_cache", "_group_aggs", "_group_state", "_count_memo",
+            "_group_stats_memo", "_event_totals_memo", "_engine_stamps",
+            "_bound_counters",
+        ):
+            state[name] = {}
         return state
 
     @property
@@ -313,12 +442,12 @@ class FeatureBuilder:
         The topology-lifetime ``_observables_memo`` survives: container
         membership cannot change within a builder's lifetime.
         """
+        self._panel_memo.clear()
         self._series_memo.clear()
         self._norm_memo.clear()
-        self._events_memo.clear()
+        self._panel_stamps.clear()
         self._series_stamps.clear()
         self._norm_stamps.clear()
-        self._events_stamps.clear()
 
     def clear_engine_cache(self) -> None:
         """Reset the incremental engine's content-addressed state.
@@ -376,9 +505,9 @@ class FeatureBuilder:
             return
         cutoff = self.clock() - self.cache_ttl
         for memo, stamps in (
+            (self._panel_memo, self._panel_stamps),
             (self._series_memo, self._series_stamps),
             (self._norm_memo, self._norm_stamps),
-            (self._events_memo, self._events_stamps),
         ):
             expired = [key for key, (at, _) in stamps.items() if at <= cutoff]
             for key in expired:
@@ -455,41 +584,6 @@ class FeatureBuilder:
             if stamp is not None:
                 self._series_stamps[key] = stamp
 
-    def events(self, locator: str, device: Component, t0: float, t1: float):
-        """Memoized MonitoringStore.query_events."""
-        key = (locator, device.name, t0, t1)
-        if key not in self._events_memo:
-            self._count("monitoring_queries_total", "events")
-            self._events_memo[key] = self.store.query_events(locator, device, t0, t1)
-            if self.ttl_enabled:
-                self._events_stamps[key] = (self.clock(), self._epoch)
-        else:
-            self._note_hit("events", self._events_stamps, key)
-        return self._events_memo[key]
-
-    def prefetch_events(
-        self, locator: str, devices: list[Component], t0: float, t1: float
-    ) -> None:
-        """Warm the events memo for many devices with one batched query."""
-        missing: list[Component] = []
-        seen: set[str] = set()
-        for device in devices:
-            if device.name in seen:
-                continue
-            seen.add(device.name)
-            if (locator, device.name, t0, t1) not in self._events_memo:
-                missing.append(device)
-        if len(missing) < 2:
-            return
-        self._count("monitoring_queries_total", "events_batch")
-        batch = self.store.query_events_batch(locator, missing, t0, t1)
-        stamp = (self.clock(), self._epoch) if self.ttl_enabled else None
-        for device, series in zip(missing, batch):
-            key = (locator, device.name, t0, t1)
-            self._events_memo[key] = series
-            if stamp is not None:
-                self._events_stamps[key] = stamp
-
     # -- component resolution ----------------------------------------------
 
     def _observables(
@@ -515,6 +609,136 @@ class FeatureBuilder:
             members = [members[i] for i in idx]
         cache[key] = members
         return members
+
+    # -- the incident panel ---------------------------------------------------
+
+    def incident_panel(
+        self, extracted: ExtractedComponents, t: float
+    ) -> IncidentPanel:
+        """Every active dataset's monitoring data for one incident.
+
+        Each dataset the schema reads is pulled once, for the ordered
+        union of the devices that represent the incident's components
+        in it (extracted leaves plus cluster/DC members): a time-series
+        dataset through one ``query_series_batch`` over the reference
+        and look-back windows together, an event dataset through one
+        ``query_event_type_counts_batch`` over the look-back window.
+        Datasets are pulled in schema order; each pull is memoized on
+        its own, so a retry re-issues only the pulls that failed.
+        Inactive datasets are absent from the panel.
+        """
+        by_kind: dict[ComponentKind, list[Component]] = {}
+        devices: dict[tuple[ComponentKind, str], list[Component]] = {}
+        union: dict[str, dict[str, Component]] = {}
+        for kind, locator in self._panel_plan:
+            if kind not in by_kind:
+                by_kind[kind] = extracted.of_kind(kind)
+            components = by_kind[kind]
+            if not components or not self.store.is_active(locator):
+                continue
+            dataset_kinds = self.store.schema(locator).component_kinds
+            expanded = [
+                device
+                for component in components
+                for device in self._observables(component, dataset_kinds)
+            ]
+            devices[(kind, locator)] = expanded
+            members = union.setdefault(locator, {})
+            for device in expanded:
+                members.setdefault(device.name, device)
+        datasets = {
+            locator: self._panel(locator, list(members.values()), t)
+            for locator, members in union.items()
+        }
+        return IncidentPanel(datasets, devices)
+
+    def _panel(
+        self, locator: str, devices: list[Component], t: float
+    ) -> _SeriesPanel | _EventPanel:
+        """One dataset's memoized rows for ``devices`` at time ``t``.
+
+        The memo entry for ``(locator, t)`` holds every device pulled
+        at that time.  Devices it lacks are pulled together and
+        appended; a call that needs no pull is a memo hit.  Under a TTL
+        an entry keeps the time of its first pull (so no row outlives
+        the TTL) and the epoch of its latest pull.
+        """
+        schema = self.store.schema(locator)
+        series = schema.kind is DataKind.TIME_SERIES
+        if not devices:  # nothing observable: no pull, an empty panel
+            if series:
+                return _SeriesPanel([], np.empty((0, 0)), np.empty((0, 0)))
+            types = sorted(schema.events.rates)
+            return _EventPanel([], types, np.zeros((0, len(types)), np.int64))
+        kind = "series_batch" if series else "event_counts_batch"
+        key = (locator, t)
+        panel = self._panel_memo.get(key)
+        missing = (
+            devices
+            if panel is None
+            else [device for device in devices if device.name not in panel.rows]
+        )
+        if not missing:
+            self._note_hit(kind, self._panel_stamps, key)
+            return panel
+        self._count("monitoring_queries_total", kind)
+        if series:
+            pulled = self._pull_series_panel(locator, missing, t)
+        else:
+            pulled = self._pull_event_panel(locator, missing, t)
+        panel = pulled if panel is None else panel.extended(pulled)
+        self._panel_memo[key] = panel
+        if self.ttl_enabled:
+            first = self._panel_stamps.get(key, (self.clock(), None))[0]
+            self._panel_stamps[key] = (first, self._epoch)
+        return panel
+
+    def _pull_series_panel(
+        self, locator: str, devices: list[Component], t: float
+    ) -> _SeriesPanel:
+        T = self.config.lookback
+        ref_span = self.config.reference_multiple * T
+        start = t - T - ref_span
+        pulled = self.store.query_series_batch(locator, devices, start, t)
+        present = [
+            (device.name, series.values)
+            for device, series in zip(devices, pulled)
+            if series is not None
+        ]
+        # The reference window [start, t - T] and the look-back window
+        # [t - T, t] lie on the sampling grid of the whole span, which
+        # starts where the reference does, so both are column ranges of
+        # one matrix (sharing a column when t - T falls on the grid).
+        # Indices use the store's own arithmetic.
+        interval = self.store.schema(locator).baseline.interval
+        r0, r1 = self._grid(interval, start, t - T)
+        w0, w1 = self._grid(interval, t - T, t)
+        span = (
+            np.vstack([values for _, values in present])
+            if present
+            else np.empty((0, max(0, w1 - r0 + 1)))
+        )
+        window = span[:, w0 - r0 : w0 - r0 + max(0, w1 - w0 + 1)]
+        reference = span[:, : max(0, r1 - r0 + 1)]
+        return _SeriesPanel(
+            [name for name, _ in present],
+            np.ascontiguousarray(window),
+            np.ascontiguousarray(reference),
+        )
+
+    def _pull_event_panel(
+        self, locator: str, devices: list[Component], t: float
+    ) -> _EventPanel:
+        T = self.config.lookback
+        types = sorted(self.store.schema(locator).events.rates)
+        pulled = self.store.query_event_type_counts_batch(
+            locator, devices, t - T, t
+        )
+        counts = np.zeros((len(devices), len(types)), dtype=np.int64)
+        for row, per_type in enumerate(pulled):
+            if per_type is not None:
+                counts[row] = [per_type.get(event_type, 0) for event_type in types]
+        return _EventPanel([device.name for device in devices], types, counts)
 
     # -- signal pulls -----------------------------------------------------------
 
@@ -608,65 +832,6 @@ class FeatureBuilder:
         for row, (device, _) in enumerate(usable):
             memoize(device, normalized[row])
 
-    def pull_group(
-        self,
-        group: _TsGroup,
-        components: list[Component],
-        t: float,
-    ) -> tuple[list[np.ndarray], bool]:
-        """Normalized windows for a group; bool marks 'any data source up'."""
-        windows: list[np.ndarray] = []
-        any_active = False
-        T = self.config.lookback
-        ref_span = self.config.reference_multiple * T
-        for locator in group.locators:
-            if not self.store.is_active(locator):
-                continue
-            dataset_kinds = self.store.schema(locator).component_kinds
-            any_active = True
-            devices: list[Component] = []
-            for component in components:
-                devices.extend(self._observables(component, dataset_kinds))
-            # One batched pull per (dataset, window) warms the memos for
-            # the whole group before the per-device normalization loop.
-            self.prefetch_series(locator, devices, t - T, t)
-            self.prefetch_series(locator, devices, t - T - ref_span, t - T)
-            self._prefetch_normalized(locator, devices, t)
-            for component in components:
-                for device in self._observables(component, dataset_kinds):
-                    normalized = self._normalized_window(locator, device, t)
-                    if normalized is not None and len(normalized):
-                        windows.append(normalized)
-        return windows, any_active
-
-    def pull_events(
-        self,
-        feature: _EventFeature,
-        components: list[Component],
-        t: float,
-    ) -> float:
-        """Event count for one (dataset, type) over all components; NaN if down."""
-        if not self.store.is_active(feature.locator):
-            return float("nan")
-        T = self.config.lookback
-        dataset_kinds = self.store.schema(feature.locator).component_kinds
-        devices = [
-            device
-            for component in components
-            for device in self._observables(component, dataset_kinds)
-        ]
-        self.prefetch_events(feature.locator, devices, t - T, t)
-        count = 0
-        for device in devices:
-            events = self.events(feature.locator, device, t - T, t)
-            if events is None:
-                continue
-            # Cached per-type counts: several _EventFeature entries
-            # share one (dataset, device, window) EventSeries, so
-            # re-scanning the type tuple per feature is wasted work.
-            count += events.count_of(feature.event_type)
-        return float(count)
-
     # -- incremental engine -------------------------------------------------
 
     @staticmethod
@@ -690,7 +855,7 @@ class FeatureBuilder:
     ) -> np.ndarray | None:
         """The eleven statistics for one ts-group, O(delta) per advance.
 
-        Byte-identical to ``_stats(np.concatenate(pull_group(...)))``:
+        Byte-identical to the default path's pooled statistics:
         blocks pool in the same locator → component → device order, and
         the aggregator computes the pooled statistics exactly (see
         :mod:`.window_agg`).  Returns None when no data source is up
@@ -786,7 +951,7 @@ class FeatureBuilder:
     ) -> dict[str, int] | None:
         """Content-addressed per-type event counts over ``[t0, t1]``.
 
-        Equals ``events(...).count_by_type()`` (with explicit zeros for
+        Equals ``store.query_events(...).count_by_type()`` (with explicit zeros for
         quiet schema types) without materializing a single event.
         Windows of pairs carrying effects key on the exact float window
         — burst counts depend on it — every other window keys on the
@@ -898,7 +1063,7 @@ class FeatureBuilder:
         components: list[Component],
         t: float,
     ) -> float:
-        """Incremental-engine :meth:`pull_events` (count queries only)."""
+        """Incremental-engine event-count feature (count queries only)."""
         totals = self._event_totals_incremental(
             feature.locator, components, t
         )
@@ -946,36 +1111,45 @@ class FeatureBuilder:
     ) -> np.ndarray:
         """The fixed-length feature vector for one incident at time ``t``.
 
+        Each ts-group pools its devices' z-scored windows from the
+        incident panel (locator → component → device order) into the
+        eleven statistics; each event feature sums its devices' counts.
         With ``incremental`` set the vector comes from the sliding
-        window engine (byte-identical by construction and by the parity
-        suite); the default path below is both the seed behavior and
-        the engine's full-recompute oracle.
+        window engine instead — byte-identical by construction and by
+        the parity suite.
         """
         if self.incremental:
             return self._features_incremental(extracted, t)
+        panel = self.incident_panel(extracted, t)
         vector = np.empty(len(self.schema))
         pos = 0
         for group in self.schema.ts_groups:
-            components = extracted.of_kind(group.kind)
-            if not components:
-                vector[pos : pos + len(STAT_NAMES)] = 0.0
-            else:
-                windows, any_active = self.pull_group(group, components, t)
-                if not any_active:
-                    vector[pos : pos + len(STAT_NAMES)] = np.nan
-                elif not windows:
-                    vector[pos : pos + len(STAT_NAMES)] = 0.0
-                else:
-                    vector[pos : pos + len(STAT_NAMES)] = _stats(
-                        np.concatenate(windows)
-                    )
+            block = slice(pos, pos + len(STAT_NAMES))
             pos += len(STAT_NAMES)
-        for feature in self.schema.event_features:
-            components = extracted.of_kind(feature.kind)
-            if not components:
-                vector[pos] = 0.0
+            if not extracted.of_kind(group.kind):
+                vector[block] = 0.0
+                continue
+            pooled = [
+                panel.datasets[locator].normalized[
+                    panel.rows(locator, group.kind)
+                ].ravel()
+                for locator in group.locators
+                if locator in panel.datasets
+            ]
+            if not pooled:
+                vector[block] = np.nan  # every data source is down
             else:
-                vector[pos] = self.pull_events(feature, components, t)
+                vector[block] = _stats(np.concatenate(pooled))
+        for feature in self.schema.event_features:
+            if not extracted.of_kind(feature.kind):
+                vector[pos] = 0.0
+            elif feature.locator not in panel.datasets:
+                vector[pos] = np.nan
+            else:
+                events = panel.datasets[feature.locator]
+                rows = panel.rows(feature.locator, feature.kind)
+                column = events.columns[feature.event_type]
+                vector[pos] = float(events.counts[rows, column].sum())
             pos += 1
         for kind in self.config.kinds:
             vector[pos] = float(len(extracted.of_kind(kind)))

@@ -45,6 +45,7 @@ from .generators import (
     _poisson_cdf,
     normal_grid,
     poisson_counts,
+    poisson_counts_grid,
     series_seed,
     uniform_grid,
     uniform_mixed,
@@ -897,40 +898,52 @@ class MonitoringStore:
     ) -> list[dict[str, int] | None]:
         """Batched :meth:`query_event_type_counts` (one entry per component).
 
-        With shards enabled the covered components' chunks materialize
-        together (one generator grid per missing chunk number); each
-        entry is bit-identical to the scalar query's answer.
+        Each entry is bit-identical to the scalar query's answer.  With
+        shards enabled the covered components' chunks materialize
+        together (one generator grid per missing chunk number);
+        otherwise each event type's Poisson bin counts for every
+        component come from one :func:`poisson_counts_grid` pass.
         """
         schema = self.schema(dataset)
         if schema.kind is not DataKind.EVENT:
             raise ValueError(f"{dataset} is not EVENT")
         if t1 < t0:
             raise ValueError("query window end must be >= start")
-        if not self.is_active(dataset):
-            return [None] * len(components)
-        first = max(0, int(np.ceil(t0 / _EVENT_BIN)))
-        last = int(np.floor(t1 / _EVENT_BIN))
-        if self._shards is None or last < first:
-            return [
-                self.query_event_type_counts(dataset, component, t0, t1)
-                if schema.covers(component.kind)
-                else None
-                for component in components
-            ]
         out: list[dict[str, int] | None] = [None] * len(components)
+        if not self.is_active(dataset):
+            return out
         covered = [
             (i, c) for i, c in enumerate(components) if schema.covers(c.kind)
         ]
         if not covered:
             return out
+        first = max(0, int(np.ceil(t0 / _EVENT_BIN)))
+        last = int(np.floor(t1 / _EVENT_BIN))
         names = [c.name for _, c in covered]
         seeds = [self._series_seed(dataset, name) for name in names]
-        per_name = self._shard_event_chunks_batch(
-            dataset, names, schema, seeds, first, last
-        )
-        size = self._shards.config.event_chunk
-        for (i, component), chunks in zip(covered, per_name):
-            counts = _event_counts_from_chunks(chunks, size, first, last)
+        per_row: list[dict[str, int]] = [{} for _ in covered]
+        if last >= first and self._shards is not None:
+            per_name = self._shard_event_chunks_batch(
+                dataset, names, schema, seeds, first, last
+            )
+            size = self._shards.config.event_chunk
+            per_row = [
+                _event_counts_from_chunks(chunks, size, first, last)
+                for chunks in per_name
+            ]
+        elif last >= first:
+            indices = np.arange(first, last + 1, dtype=np.uint64)
+            seed_array = np.array(seeds, dtype=np.uint64)
+            for stream, (event_type, hourly_rate) in enumerate(
+                sorted(schema.events.rates.items())
+            ):
+                lam = hourly_rate * _EVENT_BIN / _HOUR
+                totals = poisson_counts_grid(
+                    seed_array, indices, lam, stream=stream + 1
+                ).sum(axis=1)
+                for counts, total in zip(per_row, totals):
+                    counts[event_type] = int(total)
+        for (i, component), counts in zip(covered, per_row):
             self._add_burst_counts(dataset, component.name, t0, t1, counts)
             out[i] = counts
         return out

@@ -1,13 +1,17 @@
 """Feature-construction tests (§5.2)."""
 
+import pickle
+
 import numpy as np
 import pytest
 
-from repro.core import ComponentExtractor, FeatureBuilder, STAT_NAMES
+from repro.core import CPDPlus, ComponentExtractor, FeatureBuilder, STAT_NAMES
 from repro.core.features import _stats
 from repro.datacenter import ComponentKind
-from repro.monitoring import FailureEffect, FakeClock
+from repro.monitoring import FailureEffect, FakeClock, FaultPlan, FaultyStore
+from repro.monitoring.base import DataKind
 from repro.obs import Observability
+from repro.serving.retry import RetryPolicy
 
 _T = 86400.0 * 320  # beyond the workload horizon: guaranteed-healthy signals
 
@@ -51,15 +55,17 @@ class TestSchema:
 
 
 class TestCacheLifetimes:
-    def test_clear_cache_resets_query_memos(self, builder, sim):
+    def test_clear_cache_resets_query_memos(self, builder, sim, extractor):
         device = sim.topology.components(ComponentKind.SWITCH)[0]
         locator = builder.config.monitoring[0].locator
         builder.series(locator, device, _T - 7200.0, _T)
+        builder.features(extractor.extract(f"check {device.name}"), _T)
         assert builder._series_memo
+        assert builder._panel_memo
         builder.clear_cache()
         assert not builder._series_memo
         assert not builder._norm_memo
-        assert not builder._events_memo
+        assert not builder._panel_memo
 
     def test_observables_memo_survives_clear_cache(self, builder, sim):
         cluster = sim.topology.components(ComponentKind.CLUSTER)[0]
@@ -252,3 +258,98 @@ class TestMemo:
         b = builder.series("cpu_usage", switch, _T - 3600, _T)
         assert a is not b
         assert np.array_equal(a.values, b.values)
+
+
+class TestIncidentPanel:
+    """One pull per dataset per incident, memoized under the builder's rules."""
+
+    @staticmethod
+    def _cluster_incident(sim, extractor):
+        cluster = sim.topology.components(ComponentKind.CLUSTER)[0]
+        return extractor.extract(f"issues in cluster {cluster.name}")
+
+    @staticmethod
+    def _faulty_builder(sim, framework, plan=None):
+        store = FaultyStore(sim.store, plan or FaultPlan())
+        builder = FeatureBuilder(framework.config, sim.topology, store)
+        builder.obs = Observability(clock=FakeClock())
+        return builder, store
+
+    def test_one_pull_per_dataset_and_cpd_reuses_it(self, sim, framework, extractor):
+        builder, store = self._faulty_builder(sim, framework)
+        extracted = self._cluster_incident(sim, extractor)
+        builder.begin_incident()
+        builder.features(extracted, _T)
+        panel = builder.incident_panel(extracted, _T)
+        series = [
+            name for name in panel.datasets
+            if sim.store.schema(name).kind is DataKind.TIME_SERIES
+        ]
+        events = [name for name in panel.datasets if name not in series]
+        assert series and events
+        queries = builder.obs.metrics.get("monitoring_queries_total")
+        assert queries.value(kind="series_batch") == len(series)
+        assert queries.value(kind="event_counts_batch") == len(events)
+        assert store.queries == len(panel.datasets)
+        CPDPlus(builder).signals(extracted, _T)  # served from the memo
+        assert store.queries == len(panel.datasets)
+
+    def test_retry_reissues_only_the_failed_dataset(self, sim, framework, extractor):
+        extracted = self._cluster_incident(sim, extractor)
+        healthy, _ = self._faulty_builder(sim, framework)
+        want = healthy.features(extracted, _T)
+        builder, store = self._faulty_builder(
+            sim, framework, FaultPlan(fail_queries=frozenset({3}))
+        )
+        builder.begin_incident()
+        policy = RetryPolicy(max_attempts=2, backoff_seconds=0.0, sleep=lambda s: None)
+        got = policy.call(lambda: builder.features(extracted, _T))
+        n_datasets = len(builder.incident_panel(extracted, _T).datasets)
+        assert store.injected_errors == 1
+        assert store.queries == n_datasets + 1  # only the failed pull again
+        assert got.tobytes() == want.tobytes()
+
+    def test_begin_incident_without_ttl_resets_the_panel(self, sim, builder, extractor):
+        builder.features(self._cluster_incident(sim, extractor), _T)
+        assert builder._panel_memo
+        builder.begin_incident()
+        assert not builder._panel_memo
+
+    def test_ttl_storm_pulls_only_missing_devices(self, sim, framework, extractor):
+        builder, store = self._faulty_builder(sim, framework)
+        builder.cache_ttl = 100.0
+        builder.clock = FakeClock()
+        switches = sim.topology.components(ComponentKind.SWITCH)
+        one = extractor.extract(f"check {switches[0].name}")
+        two = extractor.extract(f"check {switches[0].name} and {switches[1].name}")
+        fresh = FeatureBuilder(framework.config, sim.topology, sim.store)
+        builder.begin_incident()
+        builder.features(one, _T)
+        first = store.queries
+        builder.begin_incident()
+        got = builder.features(two, _T)  # pulls the second switch only
+        assert store.queries == 2 * first
+        assert got.tobytes() == fresh.features(two, _T).tobytes()
+        builder.begin_incident()
+        builder.features(one, _T)  # every row already pulled
+        assert store.queries == 2 * first
+        cross = builder.obs.metrics.get("monitoring_cache_cross_hits_total")
+        assert cross.total() == first
+        builder.clock.advance(100.0)
+        builder.begin_incident()  # expired: the panel goes
+        assert not builder._panel_memo
+
+    def test_pickled_builder_drops_memos(self, sim, framework, extractor):
+        builder = FeatureBuilder(framework.config, sim.topology, sim.store)
+        extracted = self._cluster_incident(sim, extractor)
+        builder.features(extracted, _T)
+        builder.series("cpu_usage", sim.topology.components(ComponentKind.SWITCH)[0],
+                       _T - 3600, _T)
+        clone = pickle.loads(pickle.dumps(builder))
+        assert builder._panel_memo and builder._series_memo
+        for name in ("_panel_memo", "_series_memo", "_norm_memo",
+                     "_panel_stamps", "_series_stamps", "_norm_stamps"):
+            assert getattr(clone, name) == {}, name
+        assert clone.features(extracted, _T).tobytes() == (
+            builder.features(extracted, _T).tobytes()
+        )

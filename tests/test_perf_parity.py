@@ -9,14 +9,34 @@ that claim.
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.config import (
+    database_config,
+    dns_config,
+    phynet_config,
+    slb_config,
+    storage_config,
+)
+from repro.core import ComponentExtractor, CPDPlus, FeatureBuilder, FeatureSchema
+from repro.core.extraction import ExtractedComponents
 from repro.datacenter.components import ComponentKind
 from repro.ml import RandomForestClassifier
 from repro.ml.cpd import CusumDetector
 from repro.ml.tree import DecisionTreeClassifier
-from repro.monitoring.base import DataKind
+from repro.datacenter.components import Component
+from repro.monitoring import MonitoringStore
+from repro.monitoring.base import (
+    DataKind,
+    DatasetSchema,
+    EventSpec,
+    FailureEffect,
+)
 from repro.monitoring.generators import (
     normal_at,
     normal_grid,
@@ -24,6 +44,8 @@ from repro.monitoring.generators import (
     uniform_grid,
     uniform_mixed,
 )
+
+from . import feature_oracle as oracle
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +173,57 @@ def test_query_events_batch_matches_scalar(sim):
                     assert want.types == got.types
 
 
+def test_query_event_type_counts_batch_generated_matches_scalar():
+    """The un-sharded count batch equals per-device scalar queries.
+
+    Covers a zero-rate type, burst effects straddling either window
+    edge (and one covering it), an uncovered component (None) and an
+    inactive dataset, against both ``query_event_type_counts`` and
+    ``query_events(...).count_by_type()`` for the nonzero types.
+    """
+    schema = DatasetSchema(
+        name="probe_events",
+        kind=DataKind.EVENT,
+        component_kinds=frozenset({ComponentKind.SWITCH, ComponentKind.SERVER}),
+        events=EventSpec(rates={"busy": 40.0, "quiet": 0.0, "rare": 0.7}),
+    )
+    store = MonitoringStore([schema], seed=13)
+    devices = [Component(ComponentKind.SWITCH, f"sw-{i}") for i in range(5)]
+    devices += [
+        Component(ComponentKind.SERVER, "srv-0"),
+        Component(ComponentKind.VM, "vm-0"),  # not covered: None
+        Component(ComponentKind.SWITCH, "sw-1"),  # duplicate device
+    ]
+    t0, t1 = 86400.0 * 3 + 17.0, 86400.0 * 3 + 7217.0
+    for effect in (
+        FailureEffect("probe_events", "sw-0", t0 - 900.0, t0 + 600.0,
+                      mode="burst", event_type="busy", rate=90.0),
+        FailureEffect("probe_events", "sw-2", t1 - 300.0, t1 + 900.0,
+                      mode="burst", event_type="quiet", rate=12.0),
+        FailureEffect("probe_events", "sw-3", t0 - 60.0, t1 + 60.0,
+                      mode="burst", event_type="novel", rate=3.0),
+        FailureEffect("probe_events", "srv-0", t1 + 10.0, t1 + 500.0,
+                      mode="burst", event_type="busy", rate=50.0),
+    ):
+        store.inject(effect)
+    for window in [(t0, t1), (0.0, 7200.0), (-500.0, 30.0), (t0, t0)]:
+        batch = store.query_event_type_counts_batch("probe_events", devices, *window)
+        assert len(batch) == len(devices)
+        for device, got in zip(devices, batch):
+            want = store.query_event_type_counts("probe_events", device, *window)
+            assert got == want
+            if want is None:
+                assert device.kind is ComponentKind.VM
+                continue
+            events = store.query_events("probe_events", device, *window)
+            nonzero = {k: v for k, v in got.items() if v}
+            assert nonzero == events.count_by_type()
+    store.deactivate("probe_events")
+    assert store.query_event_type_counts_batch(
+        "probe_events", devices, t0, t1
+    ) == [None] * len(devices)
+
+
 def test_event_series_count_of_matches_scan(sim):
     store = sim.store
     devices = _devices(sim, limit=4)
@@ -200,22 +273,185 @@ def test_dataset_build_parallel_matches_serial(framework, incidents):
     assert [e.static_route for e in serial] == [e.static_route for e in parallel]
 
 
-def test_feature_builder_batch_prefetch_matches_scalar(framework, incidents, monkeypatch):
-    from repro.core.features import FeatureBuilder
+_SCOUT_CONFIGS = {
+    "PhyNet": phynet_config,
+    "Storage": storage_config,
+    "SLB": slb_config,
+    "DNS": dns_config,
+    "Database": database_config,
+}
+_KINDS = tuple(ComponentKind)
 
-    subset = incidents[:25]
-    monkeypatch.setattr(
-        FeatureBuilder, "prefetch_series", lambda self, *a, **k: None
+
+@pytest.fixture(scope="module")
+def oracle_stores(sim):
+    """A generated and a sharded copy of the fixture store, free to mutate."""
+    generated = pickle.loads(pickle.dumps(sim.store))
+    sharded = pickle.loads(pickle.dumps(sim.store))
+    sharded.enable_shards(series_chunk=64, event_chunk=64)
+    return {False: generated, True: sharded}
+
+
+@st.composite
+def _incident_case(draw, topology, incidents, monitored):
+    team = draw(st.sampled_from(sorted(_SCOUT_CONFIGS)))
+    # Mostly kinds the Scout's datasets cover, so most draws pull data.
+    kinds = st.one_of(st.sampled_from(monitored[team]), st.sampled_from(_KINDS))
+    if draw(st.booleans()):
+        incident = incidents[draw(st.integers(0, len(incidents) - 1))]
+        mentioned, dependencies, t = None, None, incident.created_at
+        text = incident.text
+    else:
+        text = None
+        picks = draw(
+            st.lists(
+                st.tuples(kinds, st.integers(0, 10**6)),
+                min_size=1,
+                max_size=5,
+            )
+        )
+        components = []
+        for kind, index in picks:
+            pool = topology.components(kind)
+            components.append(pool[index % len(pool)])
+        split = draw(st.integers(0, len(components)))
+        mentioned, dependencies = components[:split], components[split:]
+        lookback = _SCOUT_CONFIGS[team]().lookback
+        t = draw(
+            st.one_of(
+                # The reference window clamped at the epoch: empty,
+                # one sample, or a few.
+                st.floats(0.0, 2.2 * lookback),
+                st.integers(-2, 4).map(lambda k: lookback + k * 150.0),
+                # Look-back windows of a handful of samples.
+                st.integers(0, 16).map(lambda k: k * 150.0),
+                st.floats(0.0, 118.0 * 86400.0),
+                st.integers(0, 118 * 288).map(lambda i: i * 300.0),
+            )
+        )
+    effects = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(("shift", "scale", "spike", "burst")),
+                st.integers(0, 10**6),  # which device
+                st.integers(0, 10**6),  # which dataset
+                st.floats(-3.0, 0.5),  # start, in lookbacks before t
+                st.floats(0.0, 2.0),  # length, in lookbacks
+                st.floats(0.2, 60.0),  # magnitude / burst rate
+            ),
+            max_size=4,
+        )
     )
-    monkeypatch.setattr(
-        FeatureBuilder, "_prefetch_normalized", lambda self, *a, **k: None
+    deactivate = draw(st.lists(st.integers(0, 10**6), max_size=1))
+    sharded = draw(st.booleans())
+    return team, text, mentioned, dependencies, t, effects, deactivate, sharded
+
+
+def _inject(store, builder, extracted, t, effects):
+    """Turn drawn effect tuples into FailureEffects on observed devices."""
+    T = builder.config.lookback
+    by_kind = {DataKind.TIME_SERIES: [], DataKind.EVENT: []}
+    for ref in builder.config.monitoring:
+        by_kind[store.schema(ref.locator).kind].append(ref.locator)
+    devices = []
+    for component in extracted.all:
+        for ref in builder.config.monitoring:
+            kinds = store.schema(ref.locator).component_kinds
+            devices.extend(builder._observables(component, kinds))
+    if not devices:
+        return
+    for mode, device_pick, dataset_pick, start, length, size in effects:
+        kind = DataKind.EVENT if mode == "burst" else DataKind.TIME_SERIES
+        locators = by_kind[kind]
+        if not locators:
+            continue
+        locator = locators[dataset_pick % len(locators)]
+        device = devices[device_pick % len(devices)]
+        t0 = t + start * T
+        t1 = t0 + length * T
+        if mode == "burst":
+            schema = store.schema(locator)
+            event_type = sorted(schema.events.rates)[dataset_pick % len(schema.events.rates)]
+            effect = FailureEffect(
+                locator, device.name, t0, t1, mode="burst",
+                event_type=event_type, rate=size,
+            )
+        else:
+            effect = FailureEffect(locator, device.name, t0, t1, mode, size)
+        store.inject(effect)
+
+
+def _monitored_kinds(store):
+    """Per Scout, the component kinds some of its datasets cover."""
+    out = {}
+    for team, factory in _SCOUT_CONFIGS.items():
+        schema = FeatureSchema(factory(), store)
+        out[team] = sorted(
+            {group.kind for group in schema.ts_groups}
+            | {feature.kind for feature in schema.event_features}
+        )
+    return out
+
+
+@given(case=st.data())
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+def test_features_and_signals_match_scalar_oracle(sim, incidents, oracle_stores, case):
+    """The incident panel equals one scalar pull per device and window.
+
+    Random incidents for all five starter Scouts, injected shift,
+    scale, spike and burst effects, deactivated datasets, timestamps
+    whose reference window is clamped or short, shards on and off:
+    feature vectors, CPD+ signal vectors and trigger tuples must be
+    byte-equal to the per-device scalar oracle in ``feature_oracle``.
+    """
+    team, text, mentioned, dependencies, t, effects, deactivate, sharded = case.draw(
+        _incident_case(sim.topology, list(incidents), _monitored_kinds(sim.store))
     )
-    monkeypatch.setattr(
-        FeatureBuilder, "prefetch_events", lambda self, *a, **k: None
-    )
-    scalar = framework.dataset(subset)
-    monkeypatch.undo()
-    batched = framework.dataset(subset)
-    assert np.array_equal(scalar.X, batched.X, equal_nan=True)
-    assert np.array_equal(scalar.signals_matrix, batched.signals_matrix)
-    assert [e.triggers for e in scalar] == [e.triggers for e in batched]
+    store = oracle_stores[sharded]
+    config = _SCOUT_CONFIGS[team]()
+    builder = FeatureBuilder(config, sim.topology, store)
+    cpd = CPDPlus(builder)
+    if text is not None:
+        extracted = ComponentExtractor(config, sim.topology).extract(text)
+    else:
+        extracted = ExtractedComponents(mentioned, dependencies)
+    snapshot = store.snapshot_effects()
+    locators = sorted({ref.locator for ref in config.monitoring})
+    down = sorted({locators[i % len(locators)] for i in deactivate})
+    try:
+        _inject(store, builder, extracted, t, effects)
+        for locator in down:
+            store.deactivate(locator)
+        _assert_matches_oracle(cpd, extracted, t)
+    finally:
+        for locator in down:
+            store.activate(locator)
+        store.restore_effects(snapshot)
+
+
+def _assert_matches_oracle(cpd, extracted, t):
+    builder = cpd.builder
+    want_x = oracle.features(builder, extracted, t)
+    want_s, want_triggers = oracle.signals(cpd, extracted, t)
+    builder.begin_incident()
+    got_x = builder.features(extracted, t)
+    got_s, got_triggers = cpd.signals(extracted, t)
+    assert got_x.tobytes() == want_x.tobytes()
+    assert got_s.tobytes() == want_s.tobytes()
+    assert tuple(got_triggers) == tuple(want_triggers)
+
+
+@pytest.mark.parametrize("sharded", [False, True], ids=["generated", "sharded"])
+@pytest.mark.parametrize("offset", [-150.0, 0.0, 150.0, 300.0, 450.0, 600.0])
+def test_short_reference_windows_match_scalar_oracle(sim, oracle_stores, offset, sharded):
+    """Near the epoch the reference window holds 0, 1, 2 or 3 samples."""
+    config = phynet_config()
+    builder = FeatureBuilder(config, sim.topology, oracle_stores[sharded])
+    cluster = sim.topology.components(ComponentKind.CLUSTER)[0]
+    server = sim.topology.components(ComponentKind.SERVER)[-1]
+    extracted = ExtractedComponents([cluster, server], [])
+    _assert_matches_oracle(CPDPlus(builder), extracted, config.lookback + offset)
